@@ -16,7 +16,28 @@ use crate::query::{aggregate, Aggregate, Filter, Query};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{Row, Value};
-use crate::wal::{replay, Wal, WalError, WalRecord};
+use crate::wal::{self, Wal, WalOptions};
+
+/// One logical WAL record, stored as the JSON payload of one log frame.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum WalRecord {
+    /// Insert-or-replace a row in a table.
+    Upsert {
+        /// Table name.
+        table: String,
+        /// Full row.
+        row: Row,
+    },
+    /// Delete by primary key.
+    Delete {
+        /// Table name.
+        table: String,
+        /// Primary key value.
+        pk: Value,
+    },
+    /// Marks that a snapshot covering everything before it exists.
+    Checkpoint,
+}
 
 /// Database error.
 #[derive(Debug)]
@@ -40,12 +61,6 @@ impl std::fmt::Display for DbError {
 }
 
 impl std::error::Error for DbError {}
-
-impl From<WalError> for DbError {
-    fn from(e: WalError) -> Self {
-        DbError::Storage(e.to_string())
-    }
-}
 
 impl From<std::io::Error> for DbError {
     fn from(e: std::io::Error) -> Self {
@@ -97,9 +112,15 @@ impl Db {
         }
 
         // 3. WAL replay (upserts/deletes are idempotent, so replaying
-        //    records already covered by the snapshot is harmless).
-        let wal_dir = dir.join(WAL_DIR);
-        let (records, _torn) = replay(&wal_dir)?;
+        //    records already covered by the snapshot is harmless). Replay
+        //    stops at the first torn or undecodable frame, and the writer
+        //    resumes at that clean boundary.
+        let mut records = Vec::new();
+        let wal = wal::recover(&dir.join(WAL_DIR), WalOptions::default(), 0, 0, |payload| {
+            serde_json::from_slice(payload)
+                .map(|rec| records.push(rec))
+                .is_ok()
+        })?;
         for rec in records {
             match rec {
                 WalRecord::Upsert { table, row } => {
@@ -116,7 +137,6 @@ impl Db {
             }
         }
 
-        let wal = Wal::open(&wal_dir, 4 << 20)?;
         Ok(Db {
             dir: dir.to_path_buf(),
             tables,
@@ -142,7 +162,7 @@ impl Db {
         let schemas: BTreeMap<&String, &Schema> =
             self.tables.iter().map(|(n, t)| (n, t.schema())).collect();
         let json = serde_json::to_string(&schemas).map_err(|e| DbError::Storage(e.to_string()))?;
-        write_atomic(&self.dir.join(META_FILE), json.as_bytes())?;
+        wal::write_durable(&self.dir.join(META_FILE), json.as_bytes())?;
         Ok(())
     }
 
@@ -171,7 +191,7 @@ impl Db {
             .schema()
             .validate(row)
             .map_err(|e| DbError::Schema(e.to_string()))?;
-        self.wal.append(&WalRecord::Upsert {
+        self.log(&WalRecord::Upsert {
             table: table.to_string(),
             row: validated.clone(),
         })?;
@@ -188,7 +208,7 @@ impl Db {
         if !self.tables.contains_key(table) {
             return Err(DbError::NoSuchTable(table.to_string()));
         }
-        self.wal.append(&WalRecord::Delete {
+        self.log(&WalRecord::Delete {
             table: table.to_string(),
             pk: pk.clone(),
         })?;
@@ -222,10 +242,18 @@ impl Db {
             tables: self.tables.clone(),
         };
         let json = serde_json::to_string(&snap).map_err(|e| DbError::Storage(e.to_string()))?;
-        write_atomic(&self.dir.join(SNAPSHOT_FILE), json.as_bytes())?;
-        let seq = self.wal.append(&WalRecord::Checkpoint)?;
-        self.wal.truncate_before(seq)?;
+        wal::write_durable(&self.dir.join(SNAPSHOT_FILE), json.as_bytes())?;
+        self.log(&WalRecord::Checkpoint)?;
+        wal::remove_segments_before(&self.dir.join(WAL_DIR), self.wal.seq())?;
         Ok(())
+    }
+
+    /// Appends one record as one frame (one group commit).
+    fn log(&mut self, rec: &WalRecord) -> Result<(), DbError> {
+        let json = serde_json::to_vec(rec).map_err(|e| DbError::Storage(e.to_string()))?;
+        let mut buf = Vec::with_capacity(json.len() + 8);
+        wal::encode_frame(&mut buf, |p| p.extend_from_slice(&json));
+        Ok(self.wal.append(&buf, 1)?)
     }
 
     /// Punctual backup: copies the whole database directory (snapshot first
@@ -250,12 +278,6 @@ pub(crate) fn copy_dir(src: &Path, dest: &Path) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-fn write_atomic(path: &Path, data: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, data)?;
-    fs::rename(tmp, path)
 }
 
 #[cfg(test)]

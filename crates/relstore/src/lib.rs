@@ -9,8 +9,9 @@
 //!   secondary indices.
 //! * [`query`] — filter/projection/sort/limit queries and group-by
 //!   aggregation (the rollups behind Fig. 2a/2b).
-//! * [`wal`] — a JSON-lines write-ahead log with CRC-protected records and
-//!   segment rotation.
+//! * [`wal`] — the framed segment log (length + CRC32 frames, size-rotated
+//!   segments, torn-tail recovery, durable publish) shared with the TSDB
+//!   WAL. Each store record is one frame with a JSON payload.
 //! * [`db`] — the database: single-writer discipline (the paper's stated
 //!   reason SQLite suffices), snapshot + WAL recovery.
 //! * [`backup`] — Litestream-style continuous WAL shipping into backup
@@ -24,7 +25,7 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use db::{Db, DbError};
+pub use db::{Db, DbError, WalRecord};
 pub use query::{Aggregate, Filter, Order, Query};
 pub use schema::{Column, ColumnType, Schema};
 pub use table::Table;

@@ -1,8 +1,11 @@
 //! Model-based property tests: the relational store (with WAL, recovery
 //! and indices) must behave exactly like a plain `BTreeMap` under any
-//! sequence of upserts and deletes — including after a crash-and-recover.
+//! sequence of upserts and deletes — including after a crash-and-recover,
+//! and after a crash that tore the last WAL append.
 
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use ceems_relstore::{Column, ColumnType, Db, Filter, Query, Schema, Value};
 use proptest::prelude::*;
@@ -13,6 +16,11 @@ enum Op {
     Delete { key: u8 },
     Snapshot,
     Reopen,
+    /// Crash mid-append: drop the store, leave a strict prefix (`cut`
+    /// picks its length) of a valid record at the end of the newest WAL
+    /// segment, and reopen. The torn record was never acknowledged, so the
+    /// model does not change.
+    TornReopen { cut: u16 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -25,6 +33,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         2 => any::<u8>().prop_map(|key| Op::Delete { key }),
         1 => Just(Op::Snapshot),
         1 => Just(Op::Reopen),
+        1 => any::<u16>().prop_map(|cut| Op::TornReopen { cut }),
     ]
 }
 
@@ -39,6 +48,29 @@ fn schema() -> Schema {
         &["user"],
     )
     .unwrap()
+}
+
+fn newest_segment(wal_dir: &Path) -> PathBuf {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(wal_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segs.sort();
+    segs.pop().expect("a WAL segment")
+}
+
+/// The on-disk bytes of one WAL record, taken from a scratch store: an
+/// upsert of a key outside the model's `u8` range, so applying any part of
+/// it would show up as an extra row.
+fn record_bytes(scratch: &Path) -> Vec<u8> {
+    let mut db = Db::open(scratch).unwrap();
+    db.create_table("t", schema()).unwrap();
+    db.upsert("t", vec![Value::Int(1_000), Value::Int(0), "torn".into()])
+        .unwrap();
+    drop(db);
+    let bytes = std::fs::read(newest_segment(&scratch.join("wal"))).unwrap();
+    std::fs::remove_dir_all(scratch).ok();
+    bytes
 }
 
 fn tmpdir(seed: u64) -> std::path::PathBuf {
@@ -62,6 +94,7 @@ proptest! {
         let mut db = Db::open(&dir).unwrap();
         db.create_table("t", schema()).unwrap();
         let mut model: BTreeMap<i64, (i64, String)> = BTreeMap::new();
+        let record = record_bytes(&dir.with_extension("record"));
 
         for op in &ops {
             match op {
@@ -86,6 +119,17 @@ proptest! {
                 Op::Snapshot => db.snapshot().unwrap(),
                 Op::Reopen => {
                     drop(db);
+                    db = Db::open(&dir).unwrap();
+                }
+                Op::TornReopen { cut } => {
+                    drop(db);
+                    let keep = 1 + *cut as usize % (record.len() - 1);
+                    std::fs::OpenOptions::new()
+                        .append(true)
+                        .open(newest_segment(&dir.join("wal")))
+                        .unwrap()
+                        .write_all(&record[..keep])
+                        .unwrap();
                     db = Db::open(&dir).unwrap();
                 }
             }

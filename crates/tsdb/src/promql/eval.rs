@@ -155,13 +155,13 @@ pub fn range_query(
         // Workers are fresh threads: re-enter the caller's query trace so
         // their selects keep attributing series/sample counts to it.
         let parent_trace = ceems_obs::trace::current();
-        let filled: Vec<(usize, Result<Value, EvalError>)> = crossbeam::thread::scope(|scope| {
+        let filled: Vec<(usize, Result<Value, EvalError>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     let steps = &steps;
                     let expr = &*expr;
                     let parent_trace = parent_trace.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         crate::storage::mark_nested_query_worker();
                         let _trace = ceems_obs::trace::enter(parent_trace);
                         steps
@@ -178,8 +178,7 @@ pub fn range_query(
                 .into_iter()
                 .flat_map(|h| h.join().expect("range step worker panicked"))
                 .collect()
-        })
-        .expect("range step scope");
+        });
         for (i, r) in filled {
             slots[i] = Some(r);
         }

@@ -271,12 +271,12 @@ impl RuleEngine {
                 continue;
             }
             let filled: Vec<(usize, Result<u64, EvalError>)> =
-                crossbeam::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..workers)
                         .map(|w| {
                             let rules = &group.rules;
                             let level = &level;
-                            scope.spawn(move |_| {
+                            scope.spawn(move || {
                                 // Selects issued from inside a rule worker
                                 // stay serial — the fan-out budget is spent
                                 // here, not multiplied per worker.
@@ -296,8 +296,7 @@ impl RuleEngine {
                         .into_iter()
                         .flat_map(|h| h.join().expect("rule worker panicked"))
                         .collect()
-                })
-                .expect("rule scope");
+                });
             for (i, r) in filled {
                 results[i] = Some(r);
             }

@@ -112,7 +112,7 @@ pub struct TsdbInstruments {
     pub select_seconds: Histogram,
     /// Phase-1 resolve wall time (index lock + posting cache).
     pub select_resolve_seconds: Histogram,
-    /// One WAL group commit (`Wal::log`: encode + write + fsync policy).
+    /// One WAL group commit (`wal::log`: encode + write + fsync policy).
     pub wal_append_seconds: Histogram,
     /// Stop-the-world checkpoint wall time.
     pub checkpoint_seconds: Histogram,
@@ -134,7 +134,7 @@ impl Default for TsdbInstruments {
 /// checkpoint gate.
 struct WalState {
     dir: PathBuf,
-    /// The segmented writer. One [`Wal::log`] call under this lock is one
+    /// The segmented writer. One [`wal::log`] call under this lock is one
     /// group commit.
     wal: Mutex<Wal>,
     /// Appenders hold `read` across (log record → apply to head) so the
@@ -279,40 +279,21 @@ impl Tsdb {
         // Replay tail segments. A torn frame stops replay: the segment is
         // truncated to its valid prefix and anything after it discarded, so
         // the writer resumes on a clean frame boundary.
-        let segments = wal::list_segments(dir)?;
-        let mut end = (start_seq, 0u64);
-        let mut torn: Option<u64> = None;
-        for (seq, path) in &segments {
-            if *seq < start_seq {
-                continue;
+        let mut at = records;
+        let writer = wal::recover(dir, opts, start_seq, records, |payload| {
+            let Some(rec) = wal::decode_record(payload) else {
+                return false;
+            };
+            // Epoch bumps replay with their exact log position so the
+            // restored history matches what the leader wrote.
+            if let WalRecord::EpochBump { epoch } = rec {
+                db.observe_epoch(epoch, at);
+            } else {
+                db.apply_record(&rec);
             }
-            let data = fs::read(path)?;
-            let (recs, consumed) = wal::decode_frames(&data);
-            for (i, rec) in recs.iter().enumerate() {
-                // Epoch bumps replay with their exact log position so the
-                // restored history matches what the leader wrote.
-                if let WalRecord::EpochBump { epoch } = rec {
-                    db.observe_epoch(*epoch, records + i as u64);
-                } else {
-                    db.apply_record(rec);
-                }
-            }
-            records += recs.len() as u64;
-            end = (*seq, consumed as u64);
-            if consumed < data.len() {
-                torn = Some(*seq);
-                break;
-            }
-        }
-        if let Some(torn_seq) = torn {
-            for (seq, path) in &segments {
-                if *seq > torn_seq {
-                    fs::remove_file(path)?;
-                }
-            }
-        }
-
-        let writer = Wal::open_at(dir, opts, end.0, end.1, records)?;
+            at += 1;
+            true
+        })?;
         db.wal = Some(WalState {
             dir: dir.to_path_buf(),
             wal: Mutex::new(writer),
@@ -341,7 +322,7 @@ impl Tsdb {
     fn log_wal(&self, recs: &[WalRecord]) {
         if let Some(ws) = &self.wal {
             let start = Instant::now();
-            if ws.wal.lock().log(recs).is_err() {
+            if wal::log(&mut ws.wal.lock(), recs).is_err() {
                 ws.errors.fetch_add(1, Ordering::Relaxed);
             }
             self.instruments
@@ -564,14 +545,14 @@ impl Tsdb {
         let workers = self.config.query_threads.min(stripes.len()).max(1);
 
         let mut slots: Vec<Option<Vec<Sample>>> = (0..resolved.len()).map(|_| None).collect();
-        let filled: Vec<(usize, Vec<Sample>)> = crossbeam::thread::scope(|scope| {
+        let filled: Vec<(usize, Vec<Sample>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     // Round-robin stripes over workers.
                     let mine: Vec<&(Vec<SeriesId>, Vec<usize>)> =
                         stripes.iter().skip(w).step_by(workers).collect();
                     let head = &self.head;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut out = Vec::new();
                         for (ids, positions) in mine {
                             let shard = head.shard_of(ids[0]);
@@ -586,8 +567,7 @@ impl Tsdb {
                 .into_iter()
                 .flat_map(|h| h.join().expect("select worker panicked"))
                 .collect()
-        })
-        .expect("select scope");
+        });
         for (pos, samples) in filled {
             slots[pos] = Some(samples);
         }
@@ -818,7 +798,7 @@ impl Tsdb {
         }
         if let Some(ws) = &self.wal {
             let mut w = ws.wal.lock();
-            w.log(&[WalRecord::EpochBump { epoch: new_epoch }])?;
+            wal::log(&mut w, &[WalRecord::EpochBump { epoch: new_epoch }])?;
             w.sync()?;
         }
         let mut es = self.epoch_state.lock();
@@ -852,24 +832,12 @@ impl Tsdb {
                 continue;
             }
             let data = fs::read(&path)?;
-            let mut pos = 0usize;
-            loop {
-                if count == target {
-                    at = Some((seq, pos as u64));
-                    break;
-                }
-                if data.len() - pos < 8 {
-                    break;
-                }
-                let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-                let end = pos + 8 + len as usize;
-                if len > (1 << 30) || end > data.len() {
-                    break;
-                }
-                pos = end;
+            let mut frames = wal::frames(&data);
+            while count < target && frames.next().is_some() {
                 count += 1;
             }
-            if at.is_some() {
+            if count == target {
+                at = Some((seq, frames.consumed() as u64));
                 break;
             }
         }
@@ -937,7 +905,7 @@ impl Tsdb {
 
     /// The local writer's position, if a WAL is attached.
     pub fn wal_position(&self) -> Option<WalPosition> {
-        self.wal.as_ref().map(|w| w.wal.lock().position())
+        self.wal.as_ref().map(|w| WalPosition::of(&w.wal.lock()))
     }
 
     /// Records the leader position this follower has applied up to; from
@@ -975,7 +943,7 @@ impl Tsdb {
         let _gate = ws.gate.write();
         let (covers_seq, records) = {
             let mut w = ws.wal.lock();
-            (w.rotate()?, w.position().records)
+            (w.rotate()?, w.records())
         };
 
         let idx = self.index.read();
@@ -1273,16 +1241,15 @@ mod tests {
         let db = wide_db(100);
         let m = [LabelMatcher::eq("__name__", "wide")];
         let parallel = db.select(&m, 0, i64::MAX);
-        let nested = crossbeam::thread::scope(|scope| {
+        let nested = std::thread::scope(|scope| {
             scope
-                .spawn(|_| {
+                .spawn(|| {
                     super::mark_nested_query_worker();
                     db.select(&m, 0, i64::MAX)
                 })
                 .join()
                 .unwrap()
-        })
-        .unwrap();
+        });
         assert_eq!(parallel, nested);
     }
 

@@ -1,193 +1,40 @@
-//! Segmented write-ahead log + checkpoints (S16 in `DESIGN.md`).
+//! TSDB records and checkpoints on the shared framed segment log (S16 in
+//! `DESIGN.md`).
 //!
 //! The hot TSDB head is purely in-memory; this module gives it a durability
-//! and replication substrate, the same shape Prometheus' own WAL has:
+//! and replication substrate, the same shape Prometheus' own WAL has. The
+//! log itself — frames, segments, rotation, fsync policy, torn-tail
+//! recovery, disk-fault hooks — is [`ceems_relstore::wal`], shared with the
+//! relational store. What is TSDB-specific lives here:
 //!
 //! * **Records** ([`WalRecord`]) — series creations, sample batches,
 //!   tombstones, retention cutoffs — encoded compactly (varints, zigzag
-//!   deltas) and framed with a length + CRC32 header so a torn tail is
-//!   detected, never misread.
-//! * **Segments** — append-only `wal-<seq>.seg` files rotated by size. A
-//!   scrape batch is logged as *one* record through a group-commit buffer:
-//!   one lock, one `write`, at most one fsync per batch.
+//!   deltas), one record per frame. A scrape batch is logged as *one*
+//!   group commit: one lock, one `write`, at most one fsync per batch.
 //! * **Checkpoints** — `checkpoint-<seq>.ckpt` files summarizing all live
-//!   series at a rotation boundary, written tmp+rename. Recovery loads the
-//!   newest valid checkpoint and replays only the segments after it;
-//!   covered segments and older checkpoints are garbage-collected.
+//!   series at a rotation boundary, published tmp+fsync+rename. Recovery
+//!   loads the newest valid checkpoint and replays only the segments after
+//!   it; covered segments and older checkpoints are garbage-collected.
 //! * **Positions** ([`WalPosition`]) — `(segment, byte offset, record
 //!   count)` triples; followers stream segment bytes from a position, and
 //!   the load balancer compares record counts as a staleness signal.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs::{self, OpenOptions};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use ceems_metrics::labels::LabelSet;
+use ceems_relstore::wal::{crc32, encode_frame, list_numbered, sync_dir, write_durable};
+pub use ceems_relstore::wal::{
+    frames, list_segments, recover, segment_file_name, DiskFaults, FsyncMode, ScriptedDiskFaults,
+    ScriptedShortWrite, Wal, WalOptions,
+};
 
 use crate::types::{Sample, SeriesId};
-
-// ---------------------------------------------------------------------------
-// Disk fault injection
-// ---------------------------------------------------------------------------
-
-/// Injectable disk faults behind the WAL's file operations, used by the
-/// chaos harness to model short writes, `fsync` EIO and torn tails without
-/// touching a real flaky disk. The default implementation of every hook is
-/// "no fault", and a `Wal` without an injector pays one `Option` check per
-/// group commit.
-pub trait DiskFaults: Send + Sync {
-    /// Called before a group-commit write of `len` bytes. Return `Some(n)`
-    /// to write only the first `n` bytes and fail with `EIO`.
-    fn before_write(&self, len: usize) -> Option<usize> {
-        let _ = len;
-        None
-    }
-
-    /// Return true to fail the next `fsync` with `EIO`.
-    fn fail_fsync(&self) -> bool {
-        false
-    }
-
-    /// After an injected short write: return true (the default) to repair
-    /// the tail (truncate back to the last commit boundary, as the writer
-    /// does on a real write error), or false to leave the torn bytes on
-    /// disk so recovery has to truncate them.
-    fn repair_after_short_write(&self) -> bool {
-        true
-    }
-}
-
-/// A scripted [`DiskFaults`] implementation: pop-from-front schedules of
-/// short writes and fsync failures, deterministic by construction.
-#[derive(Debug)]
-pub struct ScriptedDiskFaults {
-    short_writes: parking_lot::Mutex<Vec<ScriptedShortWrite>>,
-    fsync_failures: std::sync::atomic::AtomicU64,
-    repair: std::sync::atomic::AtomicBool,
-}
-
-impl Default for ScriptedDiskFaults {
-    fn default() -> Self {
-        ScriptedDiskFaults::new()
-    }
-}
-
-/// One scheduled short write.
-#[derive(Debug, Clone, Copy)]
-pub struct ScriptedShortWrite {
-    /// Group commits to let through before this fault fires.
-    pub after_writes: u64,
-    /// Fraction of the buffer to write before failing, in `[0, 1)`.
-    pub keep_fraction: f64,
-}
-
-impl ScriptedDiskFaults {
-    /// No faults scheduled; add some with the builder methods.
-    pub fn new() -> ScriptedDiskFaults {
-        ScriptedDiskFaults {
-            short_writes: parking_lot::Mutex::new(Vec::new()),
-            fsync_failures: std::sync::atomic::AtomicU64::new(0),
-            repair: std::sync::atomic::AtomicBool::new(true),
-        }
-    }
-
-    /// Schedules a short write after `after_writes` successful commits.
-    pub fn with_short_write(self, after_writes: u64, keep_fraction: f64) -> ScriptedDiskFaults {
-        self.short_writes.lock().push(ScriptedShortWrite {
-            after_writes,
-            keep_fraction: keep_fraction.clamp(0.0, 0.999),
-        });
-        self
-    }
-
-    /// Makes the next `n` fsyncs fail with `EIO`.
-    pub fn with_fsync_failures(self, n: u64) -> ScriptedDiskFaults {
-        self.fsync_failures
-            .store(n, std::sync::atomic::Ordering::Relaxed);
-        self
-    }
-
-    /// Leaves torn bytes on disk after short writes (models a crash before
-    /// the writer could repair the tail).
-    pub fn leaving_torn_tails(self) -> ScriptedDiskFaults {
-        self.repair.store(false, std::sync::atomic::Ordering::Relaxed);
-        self
-    }
-}
-
-impl DiskFaults for ScriptedDiskFaults {
-    fn before_write(&self, len: usize) -> Option<usize> {
-        let mut sw = self.short_writes.lock();
-        if let Some(first) = sw.first_mut() {
-            if first.after_writes == 0 {
-                let keep = (len as f64 * first.keep_fraction) as usize;
-                sw.remove(0);
-                return Some(keep.min(len.saturating_sub(1)));
-            }
-            first.after_writes -= 1;
-        }
-        None
-    }
-
-    fn fail_fsync(&self) -> bool {
-        let n = self.fsync_failures.load(std::sync::atomic::Ordering::Relaxed);
-        if n > 0 {
-            self.fsync_failures
-                .store(n - 1, std::sync::atomic::Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn repair_after_short_write(&self) -> bool {
-        self.repair.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-fn injected_eio(what: &str) -> io::Error {
-    io::Error::other(format!("injected disk fault: {what}"))
-}
-
-/// Largest frame payload [`decode_frames`] accepts; anything bigger is
-/// treated as corruption (a real record is a few MB at most).
-const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// Samples per synthetic `Samples` record when a checkpoint is converted
 /// into a record stream for follower bootstrap.
 pub const BOOTSTRAP_BATCH: usize = 8_192;
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven
-// ---------------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 (IEEE 802.3) of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Varint / zigzag primitives
@@ -317,31 +164,32 @@ pub enum WalRecord {
     },
 }
 
-/// Appends one length+CRC framed record to `out`.
-///
-/// Frame layout: `[payload len: u32 LE][crc32(payload): u32 LE][payload]`.
+/// Appends one record to `out` as one frame of the shared log.
 pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
-    let mut payload = Vec::with_capacity(64);
+    encode_frame(out, |payload| encode_payload(payload, rec));
+}
+
+fn encode_payload(payload: &mut Vec<u8>, rec: &WalRecord) {
     match rec {
         WalRecord::SeriesCreate { id, labels } => {
             payload.push(TAG_SERIES_CREATE);
-            put_uvarint(&mut payload, *id);
-            put_uvarint(&mut payload, labels.len() as u64);
+            put_uvarint(payload, *id);
+            put_uvarint(payload, labels.len() as u64);
             for (k, v) in labels.iter() {
-                put_bytes(&mut payload, k.as_bytes());
-                put_bytes(&mut payload, v.as_bytes());
+                put_bytes(payload, k.as_bytes());
+                put_bytes(payload, v.as_bytes());
             }
         }
         WalRecord::Samples(samples) => {
             payload.push(TAG_SAMPLES);
-            put_uvarint(&mut payload, samples.len() as u64);
+            put_uvarint(payload, samples.len() as u64);
             // Ids and timestamps are delta-encoded against the previous
             // sample: a scrape batch shares one timestamp and ascends in
             // id, so both deltas are tiny.
             let (mut prev_id, mut prev_t) = (0i64, 0i64);
             for &(id, t, v) in samples {
-                put_ivarint(&mut payload, id as i64 - prev_id);
-                put_ivarint(&mut payload, t - prev_t);
+                put_ivarint(payload, id as i64 - prev_id);
+                put_ivarint(payload, t - prev_t);
                 payload.extend_from_slice(&v.to_le_bytes());
                 prev_id = id as i64;
                 prev_t = t;
@@ -349,28 +197,26 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
         }
         WalRecord::Tombstone(ids) => {
             payload.push(TAG_TOMBSTONE);
-            put_uvarint(&mut payload, ids.len() as u64);
+            put_uvarint(payload, ids.len() as u64);
             let mut prev = 0i64;
             for &id in ids {
-                put_ivarint(&mut payload, id as i64 - prev);
+                put_ivarint(payload, id as i64 - prev);
                 prev = id as i64;
             }
         }
         WalRecord::Retention { cutoff_ms } => {
             payload.push(TAG_RETENTION);
-            put_ivarint(&mut payload, *cutoff_ms);
+            put_ivarint(payload, *cutoff_ms);
         }
         WalRecord::EpochBump { epoch } => {
             payload.push(TAG_EPOCH_BUMP);
-            put_uvarint(&mut payload, *epoch);
+            put_uvarint(payload, *epoch);
         }
     }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
 }
 
-fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+/// Decodes one record payload; `None` for bytes no encoder produces.
+pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
     let mut r = Reader::new(payload);
     let rec = match r.u8()? {
         TAG_SERIES_CREATE => {
@@ -427,39 +273,26 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     r.done().then_some(rec)
 }
 
-/// Decodes consecutive frames from `buf`, stopping at the first incomplete
-/// or corrupt frame (the torn tail a crash leaves). Returns the decoded
-/// records and how many bytes of `buf` they cleanly consumed — the caller
-/// truncates (recovery) or retries from there (a follower racing the
+/// Decodes consecutive record frames from `buf`, stopping at the first
+/// incomplete or corrupt one (the torn tail a crash leaves). Returns the
+/// decoded records and how many bytes of `buf` they cleanly consumed — the
+/// caller truncates (recovery) or retries from there (a follower racing the
 /// leader's writer).
 pub fn decode_frames(buf: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while buf.len() - pos >= 8 {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            break;
-        }
-        let (start, end) = (pos + 8, pos + 8 + len as usize);
-        if end > buf.len() {
-            break;
-        }
-        let payload = &buf[start..end];
-        if crc32(payload) != crc {
-            break;
-        }
-        match decode_payload(payload) {
-            Some(rec) => out.push(rec),
-            None => break,
-        }
-        pos = end;
+    ceems_relstore::wal::decode_frames(buf, decode_record)
+}
+
+/// Encodes `recs` and writes them as one group commit.
+pub fn log(wal: &mut Wal, recs: &[WalRecord]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(256);
+    for r in recs {
+        encode_record(&mut buf, r);
     }
-    (out, pos)
+    wal.append(&buf, recs.len() as u64)
 }
 
 // ---------------------------------------------------------------------------
-// Positions, options
+// Positions
 // ---------------------------------------------------------------------------
 
 /// A durable position in the log: segment sequence number, byte offset
@@ -477,263 +310,30 @@ pub struct WalPosition {
     pub records: u64,
 }
 
-/// When the WAL writer calls `fsync`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncMode {
-    /// Sync after every group commit. Maximum durability, pays a sync per
-    /// scrape batch.
-    Always,
-    /// Sync at segment rotation and checkpoint boundaries only; a crash can
-    /// lose the OS-buffered tail of the current segment but never corrupts
-    /// what recovery reads (frames are CRC-checked).
-    #[default]
-    Batch,
-    /// Never sync explicitly (tests / throwaway stores).
-    Never,
-}
-
-impl FsyncMode {
-    /// Parses the YAML `wal_fsync` value.
-    pub fn parse(s: &str) -> Option<FsyncMode> {
-        match s {
-            "always" => Some(FsyncMode::Always),
-            "batch" => Some(FsyncMode::Batch),
-            "never" => Some(FsyncMode::Never),
-            _ => None,
-        }
-    }
-}
-
-/// WAL tuning knobs (the YAML `tsdb:` keys).
-#[derive(Debug, Clone, Copy)]
-pub struct WalOptions {
-    /// Rotate the active segment once it exceeds this many bytes.
-    pub segment_bytes: u64,
-    /// Fsync policy.
-    pub fsync: FsyncMode,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        WalOptions {
-            segment_bytes: 4 << 20,
-            fsync: FsyncMode::Batch,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segment files
-// ---------------------------------------------------------------------------
-
-/// File name of segment `seq`.
-pub fn segment_file_name(seq: u64) -> String {
-    format!("wal-{seq:012}.seg")
-}
-
-/// File name of the checkpoint covering segments `< seq`.
-pub fn checkpoint_file_name(seq: u64) -> String {
-    format!("checkpoint-{seq:012}.ckpt")
-}
-
-fn numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(num) = name
-            .strip_prefix(prefix)
-            .and_then(|r| r.strip_suffix(suffix))
-        {
-            if let Ok(seq) = num.parse::<u64>() {
-                out.push((seq, entry.path()));
-            }
-        }
-    }
-    out.sort_unstable_by_key(|(seq, _)| *seq);
-    Ok(out)
-}
-
-/// Segment files in `dir`, sorted by sequence number.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    numbered(dir, "wal-", ".seg")
-}
-
-/// Checkpoint files in `dir`, sorted by covered sequence number.
-pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    numbered(dir, "checkpoint-", ".ckpt")
-}
-
-/// Best-effort directory sync so renames/creates survive a crash.
-fn sync_dir(dir: &Path) {
-    if let Ok(f) = File::open(dir) {
-        let _ = f.sync_all();
-    }
-}
-
-/// The segmented log writer. Callers serialize access (the TSDB wraps it in
-/// a mutex); one [`Wal::log`] call is one group commit.
-pub struct Wal {
-    dir: PathBuf,
-    opts: WalOptions,
-    seq: u64,
-    file: File,
-    offset: u64,
-    records: u64,
-    /// Fsync telemetry: calls and cumulative nanoseconds across log/rotate/
-    /// sync, read by the TSDB metrics collector under the writer mutex.
-    syncs: u64,
-    sync_ns: u64,
-    /// Injected disk faults (chaos testing); `None` in production.
-    faults: Option<Arc<dyn DiskFaults>>,
-}
-
-impl Wal {
-    /// Opens the writer positioned at `(seq, offset)` with `records` already
-    /// logged (recovery passes the replay end; a fresh directory passes
-    /// zeros). Bytes past `offset` in the segment — a torn tail — are
-    /// truncated away so new appends start on a clean frame boundary.
-    pub fn open_at(
-        dir: &Path,
-        opts: WalOptions,
-        seq: u64,
-        offset: u64,
-        records: u64,
-    ) -> io::Result<Wal> {
-        let path = dir.join(segment_file_name(seq));
-        // Keep existing bytes: the valid prefix up to `offset` is replayed
-        // history; only the torn tail past it is cut below.
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        let offset = offset.min(len);
-        if len > offset {
-            file.set_len(offset)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        sync_dir(dir);
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            opts,
-            seq,
-            file,
-            offset,
-            records,
-            syncs: 0,
-            sync_ns: 0,
-            faults: None,
-        })
-    }
-
-    /// Installs a disk-fault injector (chaos testing).
-    pub fn set_disk_faults(&mut self, faults: Arc<dyn DiskFaults>) {
-        self.faults = Some(faults);
-    }
-
-    /// Current position.
-    pub fn position(&self) -> WalPosition {
+impl WalPosition {
+    /// The writer's current position.
+    pub fn of(wal: &Wal) -> WalPosition {
         WalPosition {
-            seq: self.seq,
-            offset: self.offset,
-            records: self.records,
+            seq: wal.seq(),
+            offset: wal.offset(),
+            records: wal.records(),
         }
-    }
-
-    /// Fsync telemetry since open: `(calls, cumulative_nanoseconds)`.
-    pub fn sync_stats(&self) -> (u64, u64) {
-        (self.syncs, self.sync_ns)
-    }
-
-    /// Syncs the active segment's data, accounting the call.
-    fn timed_sync_data(&mut self) -> io::Result<()> {
-        if let Some(f) = &self.faults {
-            if f.fail_fsync() {
-                self.syncs += 1;
-                return Err(injected_eio("fsync EIO"));
-            }
-        }
-        let start = std::time::Instant::now();
-        let res = self.file.sync_data();
-        self.syncs += 1;
-        self.sync_ns += start.elapsed().as_nanos() as u64;
-        res
-    }
-
-    /// Group commit: encodes all `recs` into one buffer and writes it with
-    /// one syscall (plus at most one fsync, per [`FsyncMode`]). Rotates
-    /// first when the segment would exceed its size budget.
-    pub fn log(&mut self, recs: &[WalRecord]) -> io::Result<()> {
-        if recs.is_empty() {
-            return Ok(());
-        }
-        let mut buf = Vec::with_capacity(256);
-        for r in recs {
-            encode_record(&mut buf, r);
-        }
-        if self.offset > 0 && self.offset + buf.len() as u64 > self.opts.segment_bytes {
-            self.rotate()?;
-        }
-        if let Some(faults) = self.faults.clone() {
-            if let Some(keep) = faults.before_write(buf.len()) {
-                // Short write: part of the commit lands on disk, then EIO.
-                let keep = keep.min(buf.len());
-                self.file.write_all(&buf[..keep])?;
-                if faults.repair_after_short_write() {
-                    // What a real writer does on a write error: truncate the
-                    // torn bytes back to the last commit boundary so the next
-                    // append starts on a clean frame.
-                    self.file.set_len(self.offset)?;
-                    self.file.seek(SeekFrom::End(0))?;
-                } else {
-                    // Leave the torn tail for recovery to cut away.
-                    let _ = self.file.flush();
-                }
-                return Err(injected_eio("short write"));
-            }
-        }
-        self.file.write_all(&buf)?;
-        self.offset += buf.len() as u64;
-        self.records += recs.len() as u64;
-        if self.opts.fsync == FsyncMode::Always {
-            self.timed_sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// Seals the active segment (syncing it unless `fsync = never`) and
-    /// starts the next one. Returns the new segment's sequence number.
-    pub fn rotate(&mut self) -> io::Result<u64> {
-        if self.opts.fsync != FsyncMode::Never {
-            self.timed_sync_data()?;
-        }
-        self.seq += 1;
-        self.offset = 0;
-        self.file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.dir.join(segment_file_name(self.seq)))?;
-        sync_dir(&self.dir);
-        Ok(self.seq)
-    }
-
-    /// Forces the active segment to disk (unless `fsync = never`).
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.opts.fsync != FsyncMode::Never {
-            self.timed_sync_data()?;
-        }
-        Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
 // Checkpoints
 // ---------------------------------------------------------------------------
+
+/// File name of the checkpoint covering segments `< seq`.
+pub fn checkpoint_file_name(seq: u64) -> String {
+    format!("checkpoint-{seq:012}.ckpt")
+}
+
+/// Checkpoint files in `dir`, sorted by covered sequence number.
+pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    list_numbered(dir, "checkpoint-", ".ckpt")
+}
 
 const CKPT_MAGIC: &[u8; 5] = b"CKPT1";
 
@@ -883,16 +483,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
 /// Writes a checkpoint durably: temp file, fsync, atomic rename, directory
 /// sync. A crash at any point leaves either the old state or the new one.
 pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
-    let bytes = encode_checkpoint(ckpt);
-    let tmp = dir.join(format!("{}.tmp", checkpoint_file_name(ckpt.covers_seq)));
     let path = dir.join(checkpoint_file_name(ckpt.covers_seq));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, &path)?;
-    sync_dir(dir);
+    write_durable(&path, &encode_checkpoint(ckpt))?;
     Ok(path)
 }
 
@@ -941,34 +533,20 @@ pub fn truncate_to_records(dir: &Path, target: u64) -> io::Result<TruncateOutcom
         if seq < start_seq {
             continue;
         }
+        let data = fs::read(&path)?;
         if cut {
             // Count the records in the doomed segment before removing it.
-            let data = fs::read(&path)?;
-            let (recs, _) = decode_frames(&data);
-            dropped += recs.len() as u64;
+            dropped += frames(&data).count() as u64;
             fs::remove_file(&path)?;
             continue;
         }
-        let data = fs::read(&path)?;
-        let mut pos = 0usize;
-        while data.len() - pos >= 8 {
-            if count == target {
-                break;
-            }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-            if len > MAX_FRAME_LEN {
-                break; // torn/corrupt tail: nothing real past here
-            }
-            let end = pos + 8 + len as usize;
-            if end > data.len() {
-                break;
-            }
-            pos = end;
+        let mut it = frames(&data);
+        while count < target && it.next().is_some() {
             count += 1;
         }
-        if count == target && (pos as u64) < data.len() as u64 {
-            let (tail, _) = decode_frames(&data[pos..]);
-            dropped += tail.len() as u64;
+        let pos = it.consumed();
+        if count == target && pos < data.len() {
+            dropped += it.count() as u64;
             let f = OpenOptions::new().write(true).open(&path)?;
             f.set_len(pos as u64)?;
             f.sync_data()?;
@@ -988,13 +566,7 @@ pub fn truncate_to_records(dir: &Path, target: u64) -> io::Result<TruncateOutcom
 /// `seq < covers_seq`, older checkpoints, and stray `.tmp` files. Returns
 /// how many files were removed.
 pub fn gc_covered(dir: &Path, covers_seq: u64) -> io::Result<usize> {
-    let mut removed = 0;
-    for (seq, path) in list_segments(dir)? {
-        if seq < covers_seq {
-            fs::remove_file(&path)?;
-            removed += 1;
-        }
-    }
+    let mut removed = ceems_relstore::wal::remove_segments_before(dir, covers_seq)?;
     for (seq, path) in list_checkpoints(dir)? {
         if seq < covers_seq {
             fs::remove_file(&path)?;
@@ -1062,122 +634,6 @@ mod tests {
         let (got, consumed) = decode_frames(&bad);
         assert_eq!(got.len(), 1);
         assert_eq!(consumed, keep);
-    }
-
-    #[test]
-    fn short_write_fault_repairs_and_recovers() {
-        let dir = std::env::temp_dir().join(format!("ceems-wal-shortw-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let mut wal = Wal::open_at(&dir, WalOptions::default(), 0, 0, 0).unwrap();
-        wal.set_disk_faults(Arc::new(
-            ScriptedDiskFaults::new().with_short_write(1, 0.5),
-        ));
-        wal.log(&[WalRecord::Samples(vec![(1, 1_000, 1.0)])]).unwrap();
-        let pos_before = wal.position();
-        // Second commit hits the scripted short write.
-        let err = wal
-            .log(&[WalRecord::Samples(vec![(1, 2_000, 2.0)])])
-            .unwrap_err();
-        assert!(err.to_string().contains("injected disk fault"));
-        assert_eq!(wal.position(), pos_before, "failed commit must not advance");
-        // The tail was repaired: the next commit lands on a clean boundary.
-        wal.log(&[WalRecord::Samples(vec![(1, 3_000, 3.0)])]).unwrap();
-        let data = fs::read(dir.join(segment_file_name(0))).unwrap();
-        let (recs, consumed) = decode_frames(&data);
-        assert_eq!(consumed, data.len(), "no torn bytes after repair");
-        assert_eq!(
-            recs,
-            vec![
-                WalRecord::Samples(vec![(1, 1_000, 1.0)]),
-                WalRecord::Samples(vec![(1, 3_000, 3.0)]),
-            ]
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unrepaired_short_write_leaves_torn_tail_for_recovery() {
-        let dir = std::env::temp_dir().join(format!("ceems-wal-torn-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let mut wal = Wal::open_at(&dir, WalOptions::default(), 0, 0, 0).unwrap();
-        wal.set_disk_faults(Arc::new(
-            ScriptedDiskFaults::new()
-                .with_short_write(1, 0.5)
-                .leaving_torn_tails(),
-        ));
-        wal.log(&[WalRecord::Samples(vec![(1, 1_000, 1.0)])]).unwrap();
-        let pos = wal.position();
-        wal.log(&[WalRecord::Samples(vec![(1, 2_000, 2.0)])])
-            .unwrap_err();
-        drop(wal);
-        let path = dir.join(segment_file_name(0));
-        let len_with_tail = fs::metadata(&path).unwrap().len();
-        assert!(len_with_tail > pos.offset, "torn bytes must be on disk");
-        // Frame decoding stops at the torn frame...
-        let data = fs::read(&path).unwrap();
-        let (recs, consumed) = decode_frames(&data);
-        assert_eq!(recs.len(), 1);
-        assert_eq!(consumed as u64, pos.offset);
-        // ...and re-opening at the valid prefix truncates the tail away.
-        let wal = Wal::open_at(&dir, WalOptions::default(), pos.seq, pos.offset, pos.records)
-            .unwrap();
-        assert_eq!(fs::metadata(&path).unwrap().len(), pos.offset);
-        assert_eq!(wal.position(), pos);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fsync_eio_fault_surfaces_and_clears() {
-        let dir = std::env::temp_dir().join(format!("ceems-wal-eio-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let opts = WalOptions {
-            segment_bytes: 4 << 20,
-            fsync: FsyncMode::Always,
-        };
-        let mut wal = Wal::open_at(&dir, opts, 0, 0, 0).unwrap();
-        wal.set_disk_faults(Arc::new(ScriptedDiskFaults::new().with_fsync_failures(1)));
-        // Write succeeds, fsync fails: the record is on disk but not durable,
-        // and the error reaches the caller to count.
-        let err = wal
-            .log(&[WalRecord::Samples(vec![(1, 1_000, 1.0)])])
-            .unwrap_err();
-        assert!(err.to_string().contains("fsync EIO"));
-        // The schedule is exhausted; the next commit syncs cleanly.
-        wal.log(&[WalRecord::Samples(vec![(1, 2_000, 2.0)])]).unwrap();
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wal_segments_rotate_by_size() {
-        let dir = std::env::temp_dir().join(format!("ceems-wal-rot-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let opts = WalOptions {
-            segment_bytes: 256,
-            fsync: FsyncMode::Never,
-        };
-        let mut wal = Wal::open_at(&dir, opts, 0, 0, 0).unwrap();
-        for i in 0..100 {
-            wal.log(&[WalRecord::Samples(vec![(i, i as i64 * 1000, 1.0)])])
-                .unwrap();
-        }
-        assert!(wal.position().seq > 0, "must have rotated");
-        assert_eq!(wal.position().records, 100);
-        let segs = list_segments(&dir).unwrap();
-        assert_eq!(segs.last().unwrap().0, wal.position().seq);
-        // Every segment replays; total records survive the split.
-        let mut total = 0;
-        for (_, path) in &segs {
-            let data = fs::read(path).unwrap();
-            let (recs, consumed) = decode_frames(&data);
-            assert_eq!(consumed, data.len());
-            total += recs.len();
-        }
-        assert_eq!(total, 100);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
