@@ -2,8 +2,8 @@
 //!
 //! Two claims ride on the stream subsystem: (1) pushing exporter renders
 //! over the bus ingests at least as fast as the scrape path it replaces
-//! (both traverse one HTTP hop and the identical exposition-parse +
-//! append-batch sink), and (2) a live `query_live` subscriber sees a pushed
+//! (both traverse one HTTP hop and ingest through a per-source
+//! `SeriesCache`, as the scrape manager and the stack's push sink do), and (2) a live `query_live` subscriber sees a pushed
 //! sample as a rendered delta quickly — the end-to-end freshness win over
 //! poll-mode dashboards. Emits `BENCH_stream.json` with per-path ingest
 //! throughput and the sample→live-delta latency distribution.
@@ -20,9 +20,9 @@ use ceems_qfe::{QfeConfig, QueryFrontend, RouterDownstream};
 use ceems_simnode::SimClock;
 use ceems_stream::{SampleFrame, SinkReceipt, StreamBus, StreamBusConfig, StreamPublisher};
 use ceems_tsdb::httpapi::api_router;
-use ceems_tsdb::scrape::exposition_to_batch;
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::{SeriesCache, Tsdb};
 use criterion::{criterion_group, criterion_main, Criterion};
+use parking_lot::Mutex;
 
 const JOBS: usize = 8;
 const STEP_MS: i64 = 15_000;
@@ -37,22 +37,25 @@ fn exporter() -> Arc<CeemsExporter> {
     ))
 }
 
-/// A bus over the production sink shape: parse the exposition body with
-/// scrape-identical label stamping, append as one batch.
+/// A bus over the production sink shape for one publisher: ingest the
+/// exposition body through the publisher's series cache, one batch per
+/// frame.
 fn ingesting_bus(db: Arc<Tsdb>, ring: usize) -> Arc<StreamBus> {
+    let cache: Mutex<Option<SeriesCache>> = Mutex::new(None);
     Arc::new(StreamBus::new(
         StreamBusConfig {
             ring_capacity: ring,
             ..Default::default()
         },
         Arc::new(move |f: &SampleFrame| {
-            let batch =
-                exposition_to_batch(&f.body, &f.instance, &f.job, &f.extra_labels, f.produced_ms)?;
-            let samples = batch.len() as u64;
-            db.append_batch(&batch);
+            let mut cache = cache.lock();
+            let cache = cache.get_or_insert_with(|| {
+                SeriesCache::for_target(&f.instance, &f.job, &f.extra_labels)
+            });
+            let samples = cache.ingest(&db, &f.body, f.produced_ms)?;
             Ok(SinkReceipt {
                 samples,
-                names: vec![],
+                names: cache.metric_names().to_vec(),
             })
         }),
     ))
@@ -69,21 +72,12 @@ fn serve_bus(bus: Arc<StreamBus>, now: Arc<AtomicI64>) -> HttpServer {
     HttpServer::serve(ServerConfig::ephemeral(), router).unwrap()
 }
 
-/// One pull-mode ingest pass: GET `/metrics`, parse, append.
-fn scrape_once(client: &Client, url: &str, db: &Tsdb, t: i64) -> u64 {
+/// One pull-mode ingest pass: GET `/metrics`, ingest through the target's
+/// series cache.
+fn scrape_once(client: &Client, url: &str, cache: &mut SeriesCache, db: &Tsdb, t: i64) -> u64 {
     let resp = client.get(url).expect("scrape GET");
     let body = std::str::from_utf8(&resp.body).expect("utf8 exposition");
-    let batch = exposition_to_batch(
-        body,
-        "n0:9100",
-        "ceems",
-        &[("nodegroup".to_string(), "bench".to_string())],
-        t,
-    )
-    .expect("exposition parses");
-    let n = batch.len() as u64;
-    db.append_batch(&batch);
-    n
+    cache.ingest(db, body, t).expect("exposition parses")
 }
 
 fn samples_per_sec(samples_per_iter: u64, s: &LatencySummary) -> f64 {
@@ -98,6 +92,11 @@ fn bench_ingest_paths(c: &mut Criterion) {
     let exp_srv = Arc::clone(&exp).serve().unwrap();
     let metrics_url = format!("{}/metrics", exp_srv.base_url());
     let scrape_client = Client::new();
+    let mut scrape_cache = SeriesCache::for_target(
+        "n0:9100",
+        "ceems",
+        &[("nodegroup".to_string(), "bench".to_string())],
+    );
 
     // Push mode: the exporter's render is published over the bus.
     let push_db = Arc::new(Tsdb::default());
@@ -113,9 +112,9 @@ fn bench_ingest_paths(c: &mut Criterion) {
         vec![("nodegroup".to_string(), "bench".to_string())],
     );
 
-    let probe = exposition_to_batch(&exp.render_for_push(), "n0:9100", "ceems", &[], 0)
+    let samples_per_iter = SeriesCache::for_target("n0:9100", "ceems", &[])
+        .ingest(&Tsdb::default(), &exp.render_for_push(), 0)
         .expect("probe parses");
-    let samples_per_iter = probe.len() as u64;
     eprintln!(
         "[S23] {JOBS}-job node render: {} samples per batch",
         samples_per_iter
@@ -125,7 +124,8 @@ fn bench_ingest_paths(c: &mut Criterion) {
     c.bench_function("stream_ingest/scrape_pull", |b| {
         b.iter(|| {
             t += STEP_MS;
-            scrape_once(&scrape_client, &metrics_url, &scrape_db, t)
+            let cache = &mut scrape_cache;
+            scrape_once(&scrape_client, &metrics_url, cache, &scrape_db, t)
         })
     });
     c.bench_function("stream_ingest/stream_push", |b| {
@@ -144,7 +144,8 @@ fn bench_ingest_paths(c: &mut Criterion) {
     for _ in 0..INGEST_ITERS {
         t += STEP_MS;
         let started = Instant::now();
-        scrape_once(&scrape_client, &metrics_url, &scrape_db, t);
+        let cache = &mut scrape_cache;
+        scrape_once(&scrape_client, &metrics_url, cache, &scrape_db, t);
         scrape_lat.push(started.elapsed());
 
         t += STEP_MS;

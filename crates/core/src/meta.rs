@@ -7,7 +7,10 @@
 //! and the S21 alerting DAG then work over the stack's own health series
 //! exactly as they do over job telemetry.
 //!
-//! Per target, every pass also writes three synthetic series:
+//! Each target ingests through its own [`SeriesCache`], stamped with
+//! `tenant`, `component`, `instance` and `job`. Per target, every pass
+//! also writes three synthetic series through the same cache, in one
+//! group commit with the body when the scrape succeeded, alone when not:
 //!
 //! * `ceems_meta_up` — 1 when the target answered and parsed, else 0.
 //! * `ceems_meta_scrape_duration_seconds` — wall time of the scrape.
@@ -21,9 +24,7 @@
 use std::sync::Arc;
 
 use ceems_http::Client;
-use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
-use ceems_metrics::parse::parse_text;
-use ceems_tsdb::Tsdb;
+use ceems_tsdb::{SeriesCache, Tsdb};
 
 /// The reserved tenant meta-monitoring series live under.
 pub const META_TENANT: &str = "__ceems_meta__";
@@ -49,6 +50,16 @@ pub struct MetaTarget {
     /// Exposition source.
     pub source: MetaSource,
     last_ok_ms: Option<i64>,
+    cache: SeriesCache,
+}
+
+fn meta_cache(component: &str, instance: &str) -> SeriesCache {
+    SeriesCache::new(vec![
+        ("tenant".to_string(), META_TENANT.to_string()),
+        ("component".to_string(), component.to_string()),
+        ("instance".to_string(), instance.to_string()),
+        ("job".to_string(), META_JOB.to_string()),
+    ])
 }
 
 impl MetaTarget {
@@ -63,6 +74,7 @@ impl MetaTarget {
             instance: instance.to_string(),
             source: MetaSource::InProcess(f),
             last_ok_ms: None,
+            cache: meta_cache(component, instance),
         }
     }
 
@@ -73,6 +85,7 @@ impl MetaTarget {
             instance: instance.to_string(),
             source: MetaSource::Http(url.to_string()),
             last_ok_ms: None,
+            cache: meta_cache(component, instance),
         }
     }
 }
@@ -124,12 +137,16 @@ impl MetaMonitor {
             let started = std::time::Instant::now();
             let fetched = fetch(&self.client, &t.source);
             let duration_s = started.elapsed().as_secs_f64();
-            match fetched.and_then(|body| ingest(db, t, now_ms, &body)) {
+            let health = [
+                ("ceems_meta_up", 1.0),
+                ("ceems_meta_scrape_duration_seconds", duration_s),
+                ("ceems_meta_scrape_staleness_seconds", 0.0),
+            ];
+            match fetched.and_then(|body| t.cache.ingest_with(db, &body, now_ms, &health)) {
                 Ok(n) => {
                     stats.ok += 1;
                     stats.samples += n;
                     t.last_ok_ms = Some(now_ms);
-                    write_health(db, t, now_ms, 1.0, duration_s, 0.0);
                 }
                 Err(_) => {
                     stats.failed += 1;
@@ -137,7 +154,14 @@ impl MetaMonitor {
                         .last_ok_ms
                         .map(|ok| (now_ms - ok).max(0) as f64 / 1000.0)
                         .unwrap_or(0.0);
-                    write_health(db, t, now_ms, 0.0, duration_s, staleness);
+                    let down = [
+                        ("ceems_meta_up", 0.0),
+                        ("ceems_meta_scrape_duration_seconds", duration_s),
+                        ("ceems_meta_scrape_staleness_seconds", staleness),
+                    ];
+                    // The health series alone. An empty body always
+                    // parses, and unfenced ingest cannot fail.
+                    let _ = t.cache.ingest_with(db, "", now_ms, &down);
                 }
             }
         }
@@ -156,46 +180,6 @@ fn fetch(client: &Client, source: &MetaSource) -> Result<String, String> {
             Ok(resp.body_string())
         }
     }
-}
-
-fn meta_labels(t: &MetaTarget, name: &str) -> LabelSetBuilder {
-    LabelSetBuilder::new()
-        .label(METRIC_NAME_LABEL, name)
-        .label("tenant", META_TENANT)
-        .label("component", &t.component)
-        .label("instance", &t.instance)
-        .label("job", META_JOB)
-}
-
-fn ingest(db: &Tsdb, t: &MetaTarget, now_ms: i64, body: &str) -> Result<u64, String> {
-    let parsed = parse_text(body).map_err(|e| e.to_string())?;
-    let mut batch = Vec::with_capacity(parsed.samples.len());
-    for s in parsed.samples {
-        let b = LabelSetBuilder::from(s.labels)
-            .label(METRIC_NAME_LABEL, &s.name)
-            .label("tenant", META_TENANT)
-            .label("component", &t.component)
-            .label("instance", &t.instance)
-            .label("job", META_JOB);
-        batch.push((b.build(), s.timestamp_ms.unwrap_or(now_ms), s.value));
-    }
-    let n = batch.len() as u64;
-    db.append_batch(&batch);
-    Ok(n)
-}
-
-fn write_health(db: &Tsdb, t: &MetaTarget, now_ms: i64, up: f64, duration_s: f64, staleness_s: f64) {
-    db.append(&meta_labels(t, "ceems_meta_up").build(), now_ms, up);
-    db.append(
-        &meta_labels(t, "ceems_meta_scrape_duration_seconds").build(),
-        now_ms,
-        duration_s,
-    );
-    db.append(
-        &meta_labels(t, "ceems_meta_scrape_staleness_seconds").build(),
-        now_ms,
-        staleness_s,
-    );
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! [`CeemsStack::advance`] moves the whole system one simulation step; the
 //! 1,400-node Jean-Zay experiment is just this with the big cluster spec.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -29,7 +30,7 @@ use ceems_slurm::{ChurnGenerator, JobRequest, Partition, Scheduler};
 use ceems_stream::{PublishOutcome, SampleFrame, SinkReceipt, StreamBus, StreamBusConfig};
 use ceems_tsdb::rules::RuleEngine;
 use ceems_tsdb::scrape::{ScrapeManager, ScrapeStats, ScrapeTarget, TargetSource};
-use ceems_tsdb::{ReplicationGroup, Tsdb, TsdbConfig, WriteRouter};
+use ceems_tsdb::{ReplicationGroup, SeriesCache, Tsdb, TsdbConfig, WriteRouter};
 
 use crate::attribution::{all_rule_groups, NodeGroup};
 use crate::config::CeemsConfig;
@@ -132,6 +133,42 @@ struct PushSource {
 struct FailoverState {
     group: Arc<Mutex<ReplicationGroup>>,
     router: WriteRouter,
+}
+
+/// The push sink's series caches, one per publisher identity (instance,
+/// job, extra labels). A publisher silent for [`PUBLISHER_IDLE_MS`] of
+/// frame time loses its cache, so publishers that come and go do not
+/// accumulate entries.
+#[derive(Default)]
+struct PublisherCaches {
+    /// Cache and last frame time by publisher identity.
+    caches: HashMap<PublisherKey, (SeriesCache, i64)>,
+    swept_ms: i64,
+}
+
+/// A publisher's stamped identity: instance, job, extra labels.
+type PublisherKey = (String, String, Vec<(String, String)>);
+
+/// Frame time after which an idle publisher's cache is dropped.
+const PUBLISHER_IDLE_MS: i64 = 5 * 60_000;
+
+impl PublisherCaches {
+    fn get(&mut self, f: &SampleFrame) -> &mut SeriesCache {
+        if f.produced_ms - self.swept_ms >= PUBLISHER_IDLE_MS {
+            self.swept_ms = f.produced_ms;
+            self.caches
+                .retain(|_, (_, last_ms)| f.produced_ms - *last_ms < PUBLISHER_IDLE_MS);
+        }
+        let key = (f.instance.clone(), f.job.clone(), f.extra_labels.clone());
+        let (cache, last_ms) = self.caches.entry(key).or_insert_with(|| {
+            (
+                SeriesCache::for_target(&f.instance, &f.job, &f.extra_labels),
+                f.produced_ms,
+            )
+        });
+        *last_ms = f.produced_ms;
+        cache
+    }
 }
 
 /// Alert evaluation that follows the write route: each query resolves the
@@ -332,38 +369,30 @@ impl CeemsStack {
         .with_eval_threads(config.query_threads);
 
         // Streaming ingest bus (S23): exporters publish renders instead of
-        // being scraped. The sink parses the exposition text through the
-        // same label-stamping path as a scrape and appends synchronously —
-        // one acked frame is one TSDB batch (and one WAL group commit when
-        // durability is on) — returning the metric names that arrived so
-        // the rule engine can re-evaluate just the affected sub-DAG.
+        // being scraped. The sink ingests the exposition text through the
+        // publisher's series cache — the scrape path's stamping — and
+        // appends synchronously: one acked frame is one TSDB batch (and one
+        // WAL group commit when durability is on). It returns the metric
+        // names that arrived so the rule engine can re-evaluate just the
+        // affected sub-DAG.
         let stream_bus = if config.stream.enabled {
             let sink_db = tsdb.clone();
             let sink_router = replication.as_ref().map(|f| f.router.clone());
+            let caches = Mutex::new(PublisherCaches::default());
             let sink: ceems_stream::IngestSink = Arc::new(move |f: &SampleFrame| {
-                let batch = ceems_tsdb::scrape::exposition_to_batch(
-                    &f.body,
-                    &f.instance,
-                    &f.job,
-                    &f.extra_labels,
-                    f.produced_ms,
-                )?;
-                let names: std::collections::BTreeSet<String> = batch
-                    .iter()
-                    .filter_map(|(ls, _, _)| ls.metric_name().map(str::to_string))
-                    .collect();
-                let samples = batch.len() as u64;
-                match &sink_router {
+                let mut caches = caches.lock();
+                let cache = caches.get(f);
+                let samples = match &sink_router {
                     // Failover mode: append through the write route, fenced
                     // with the route's epoch. A leaderless window or a stale
                     // epoch rejects the frame; the publisher keeps it
                     // buffered and resumes after the election.
-                    Some(router) => router.append_batch(&batch)?,
-                    None => sink_db.append_batch(&batch),
-                }
+                    Some(router) => router.ingest(cache, &f.body, f.produced_ms)?,
+                    None => cache.ingest(&sink_db, &f.body, f.produced_ms)?,
+                };
                 Ok(SinkReceipt {
                     samples,
-                    names: names.into_iter().collect(),
+                    names: cache.metric_names().to_vec(),
                 })
             });
             Some(Arc::new(StreamBus::new(

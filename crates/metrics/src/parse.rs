@@ -67,12 +67,7 @@ pub struct ParsedScrape {
 /// Parses a full text-format document.
 pub fn parse_text(body: &str) -> Result<ParsedScrape, ParseError> {
     let mut out = ParsedScrape::default();
-    for (idx, raw) in body.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim_end_matches('\r');
-        if line.is_empty() {
-            continue;
-        }
+    for (lineno, line) in doc_lines(body) {
         if let Some(rest) = line.strip_prefix('#') {
             let rest = rest.trim_start();
             if let Some(rest) = rest.strip_prefix("TYPE ") {
@@ -91,6 +86,23 @@ pub fn parse_text(body: &str) -> Result<ParsedScrape, ParseError> {
         out.samples.push(parse_sample_line(line, lineno)?);
     }
     Ok(out)
+}
+
+/// The non-blank lines of a document as `(1-based line number, line)`,
+/// with any trailing `\r` removed.
+fn doc_lines(body: &str) -> impl Iterator<Item = (usize, &str)> {
+    body.lines()
+        .enumerate()
+        .map(|(idx, raw)| (idx + 1, raw.trim_end_matches('\r')))
+        .filter(|(_, line)| !line.is_empty())
+}
+
+/// The lines [`parse_text`] parses as samples, as `(1-based line number,
+/// line)`: blank and `#` lines skipped, trailing `\r` removed. Ingest paths
+/// that parse line by line walk the document through this so they see
+/// exactly the lines (and line numbers) `parse_text` does.
+pub fn sample_lines(body: &str) -> impl Iterator<Item = (usize, &str)> {
+    doc_lines(body).filter(|(_, line)| !line.starts_with('#'))
 }
 
 fn unescape_help(s: &str) -> String {
@@ -114,39 +126,92 @@ fn unescape_help(s: &str) -> String {
     out
 }
 
-fn parse_sample_line(line: &str, lineno: usize) -> Result<ParsedSample, ParseError> {
-    let err = |m: &str| ParseError {
-        line: lineno,
-        message: m.to_string(),
-    };
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    // Metric name.
-    let start = i;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            i += 1;
-        } else {
-            break;
-        }
-    }
-    if i == start {
-        return Err(err("expected metric name"));
-    }
-    let name = line[start..i].to_string();
+/// What a sample line carries after its series text: the value, an
+/// optional timestamp and an optional exemplar.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SampleTail {
+    /// Value.
+    pub value: f64,
+    /// Optional explicit timestamp in milliseconds.
+    pub timestamp_ms: Option<i64>,
+    /// Optional OpenMetrics exemplar.
+    pub exemplar: Option<ParsedExemplar>,
+}
 
-    // Optional labels.
-    let labels = if i < bytes.len() && bytes[i] == b'{' {
+fn parse_sample_line(line: &str, lineno: usize) -> Result<ParsedSample, ParseError> {
+    let (name, labels, len) = parse_series(line, lineno)?;
+    let tail = parse_sample_tail(&line[len..], lineno)?;
+    Ok(ParsedSample {
+        name,
+        labels,
+        value: tail.value,
+        timestamp_ms: tail.timestamp_ms,
+        exemplar: tail.exemplar,
+    })
+}
+
+/// Length of the metric name at the start of a sample line.
+pub fn metric_name_len(line: &str) -> usize {
+    line.bytes()
+        .take_while(|&c| c.is_ascii_alphanumeric() || c == b'_' || c == b':')
+        .count()
+}
+
+/// Parses the series text at the start of a sample line: the metric name
+/// and its optional `{...}` label block. Returns the name, the labels and
+/// the number of bytes consumed. The parser never looks past the byte it
+/// stops at, so any line starting with the same consumed text parses to
+/// the same name and labels.
+pub fn parse_series(line: &str, lineno: usize) -> Result<(String, LabelSet, usize), ParseError> {
+    let mut i = metric_name_len(line);
+    if i == 0 {
+        return Err(ParseError {
+            line: lineno,
+            message: "expected metric name".to_string(),
+        });
+    }
+    let name = line[..i].to_string();
+    let labels = if line.as_bytes().get(i) == Some(&b'{') {
         parse_label_block(line, lineno, &mut i)?
     } else {
         LabelSetBuilder::new().build()
     };
+    Ok((name, labels, i))
+}
 
-    // Value and timestamp, with an optional OpenMetrics exemplar suffix
-    // (`# {labels} value`). Any '#' after the label block starts the
-    // exemplar: sample values and timestamps cannot contain one.
-    let rest = &line[i..];
+/// Length of a sample line's series text without parsing it: the metric
+/// name, then — when a `{` follows — everything through the first `}`
+/// outside a quoted label value (the whole line when there is none). On a
+/// well-formed line this is exactly what [`parse_series`] consumes, which
+/// is what a cache keyed by series text looks lines up by.
+pub fn series_text_len(line: &str) -> usize {
+    let bytes = line.as_bytes();
+    let mut i = metric_name_len(line);
+    if bytes.get(i) != Some(&b'{') {
+        return i;
+    }
+    let mut quoted = false;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if quoted => i += 1,
+            b'"' => quoted = !quoted,
+            b'}' if !quoted => return i + 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    bytes.len()
+}
+
+/// Parses what follows the series text of a sample line: value, optional
+/// timestamp, and an optional OpenMetrics exemplar suffix
+/// (`# {labels} value`). Any '#' after the label block starts the
+/// exemplar: sample values and timestamps cannot contain one.
+pub fn parse_sample_tail(rest: &str, lineno: usize) -> Result<SampleTail, ParseError> {
+    let err = |m: &str| ParseError {
+        line: lineno,
+        message: m.to_string(),
+    };
     let (sample_part, exemplar_part) = match rest.find('#') {
         Some(pos) => (&rest[..pos], Some(&rest[pos + 1..])),
         None => (rest, None),
@@ -174,9 +239,7 @@ fn parse_sample_line(line: &str, lineno: usize) -> Result<ParsedSample, ParseErr
         Some(ex) => Some(parse_exemplar(ex, lineno)?),
     };
 
-    Ok(ParsedSample {
-        name,
-        labels,
+    Ok(SampleTail {
         value,
         timestamp_ms,
         exemplar,
@@ -422,6 +485,36 @@ mod tests {
         let ex = parsed.samples[0].exemplar.as_ref().unwrap();
         assert_eq!(ex.labels.get("trace_id"), Some("0123456789abcdef"));
         assert_eq!(ex.value, 0.25);
+    }
+
+    #[test]
+    fn series_text_is_what_the_parser_consumes() {
+        let lines = [
+            "a 1",
+            "x:y_z 1 100",
+            "m{} 1",
+            "m{ a=\"1\" , b=\"2\" } 1",
+            "m{b=\"x}y\",c=\"q\\\"}\"} 2 # {t=\"1\"} 3",
+            "m{v=\"#1 # {n=\\\"e\\\"}\"} NaN",
+            "m{v=\"back\\\\slash\\n\"} -Inf 5",
+        ];
+        for line in lines {
+            let (name, labels, len) = parse_series(line, 1).unwrap();
+            assert_eq!(series_text_len(line), len, "{line}");
+            let tail = parse_sample_tail(&line[len..], 1).unwrap();
+            let full = parse_text(line).unwrap().samples.remove(0);
+            assert_eq!((full.name, full.labels), (name, labels), "{line}");
+            assert_eq!(full.value.to_bits(), tail.value.to_bits(), "{line}");
+            assert_eq!(full.timestamp_ms, tail.timestamp_ms, "{line}");
+            assert_eq!(full.exemplar, tail.exemplar, "{line}");
+        }
+        // No closing brace: the whole line; the parser rejects it.
+        assert_eq!(series_text_len("m{a=\"}"), 6);
+        assert!(parse_series("m{a=\"}", 1).is_err());
+        assert_eq!(
+            sample_lines("# c\n\na 1\r\nb 2\n").collect::<Vec<_>>(),
+            vec![(3, "a 1"), (4, "b 2")]
+        );
     }
 
     #[test]

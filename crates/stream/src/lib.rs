@@ -17,7 +17,7 @@
 //!   `stream_push` trace stage.
 //!
 //! Downstream, the TSDB consumes pushed batches exactly like scraped ones
-//! (same label stamping via `exposition_to_batch`), the rule engine
+//! (a per-publisher `SeriesCache`, the scrape path's stamping), the rule engine
 //! re-evaluates only the sub-DAG whose inputs arrived
 //! (`RuleEngine::tick_incremental`), and the query frontend pushes per-step
 //! deltas to live `query_live` subscribers.

@@ -47,6 +47,7 @@ use ceems_obs::TraceSink;
 
 use crate::httpapi::{api_router, NowFn};
 use crate::replica::WalFollower;
+use crate::series_cache::SeriesCache;
 use crate::storage::{StaleEpoch, Tsdb, TsdbConfig};
 use crate::wal::{self, TruncateOutcome, WalOptions};
 
@@ -155,6 +156,18 @@ impl WriteRouter {
         };
         db.append_batch_fenced(route.epoch, batch)
             .map_err(|e: StaleEpoch| e.to_string())
+    }
+
+    /// Ingests an exposition body through `cache` into the current route,
+    /// fenced like [`Self::append_batch`]. A failover between passes
+    /// re-points the route at another database, which the cache detects
+    /// and re-resolves against.
+    pub fn ingest(&self, cache: &mut SeriesCache, body: &str, now_ms: i64) -> Result<u64, String> {
+        let route = self.route();
+        let Some(db) = route.db else {
+            return Err("no leader elected".to_string());
+        };
+        cache.ingest_fenced(&db, route.epoch, body, now_ms)
     }
 
     fn swap(&self, route: Route) {
@@ -689,6 +702,16 @@ mod tests {
         // The route moved; a write through it lands on the new leader.
         assert_eq!(router.epoch(), old_epoch + 1);
         router.append_batch(&[(series.clone(), 60_000, 60.0)]).unwrap();
+        // A series cache filled against the old leader re-resolves on the
+        // new one instead of reusing the old leader's ids.
+        let mut cache = SeriesCache::for_target("n1:9100", "ceems", &[]);
+        cache.ingest(&old_db, "cached_watts 1\n", 59_000).unwrap();
+        assert_eq!(router.ingest(&mut cache, "cached_watts 2\n", 60_000), Ok(1));
+        let new_db = router.leader_db().unwrap();
+        assert_eq!(new_db.series_cache_stats(), (0, 1));
+        let got = new_db.select(&[LabelMatcher::eq("__name__", "cached_watts")], 0, i64::MAX);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].samples.len(), 1);
 
         // The fence: the dead leader's epoch is rejected everywhere live.
         let fenced = g

@@ -25,6 +25,10 @@ pub struct LabelIndex {
     /// when it moves, so a cache can never serve ids across a membership
     /// change.
     generation: u64,
+    /// Series removed so far. Removal is the only way a resolved id stops
+    /// naming its label set, so a series cache holding resolved ids stays
+    /// valid exactly while this is unchanged.
+    removals: u64,
 }
 
 impl LabelIndex {
@@ -41,6 +45,11 @@ impl LabelIndex {
     /// Index generation: changes whenever series membership changes.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Series removed over the index's lifetime.
+    pub fn removals(&self) -> u64 {
+        self.removals
     }
 
     /// Looks up an existing series id for exactly these labels.
@@ -145,12 +154,14 @@ impl LabelIndex {
         out
     }
 
-    /// Removes a series entirely (tombstone purge).
+    /// Removes a series entirely. Every removal — tombstones, retention,
+    /// `delete_series`, resync — goes through here.
     pub fn remove(&mut self, id: SeriesId) {
         let Some(labels) = self.series.remove(&id) else {
             return;
         };
         self.generation += 1;
+        self.removals += 1;
         if let Some(v) = self.by_fingerprint.get_mut(&labels.fingerprint()) {
             v.retain(|&x| x != id);
             if v.is_empty() {
@@ -381,13 +392,16 @@ mod tests {
         let mut idx = sample_index();
         let ids = idx.select(&[LabelMatcher::eq("job", "dcgm")]);
         assert_eq!(ids.len(), 1);
+        assert_eq!(idx.removals(), 0);
         idx.remove(ids[0]);
         assert!(idx.select(&[LabelMatcher::eq("job", "dcgm")]).is_empty());
         assert_eq!(idx.series_count(), 3);
         assert!(!idx.label_values("job").contains(&"dcgm".to_string()));
+        assert_eq!(idx.removals(), 1);
         // Removing twice is a no-op.
         idx.remove(ids[0]);
         assert_eq!(idx.series_count(), 3);
+        assert_eq!(idx.removals(), 1);
     }
 
     #[test]

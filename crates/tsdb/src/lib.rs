@@ -20,6 +20,8 @@
 //! * [`rules`] — recording-rule groups that materialise derived series.
 //! * [`scrape`] — the scrape manager pulling exporters (HTTP or in-process)
 //!   into the TSDB.
+//! * [`series_cache`] — the per-source series cache every exposition
+//!   ingest (scrape, push, meta) goes through.
 //! * [`longterm`] — Thanos-like: replication into a cold store, 5-minute
 //!   downsampling, fan-in queries across hot+cold.
 //! * [`httpapi`] — the Prometheus HTTP API subset Grafana / the LB speak.
@@ -44,11 +46,13 @@ pub mod replica;
 pub mod rules;
 pub mod scrape;
 pub mod selfmon;
+pub mod series_cache;
 pub mod storage;
 pub mod types;
 pub mod wal;
 
 pub use election::{FailoverConfig, NodeRole, ReplicationGroup, WriteRouter};
+pub use series_cache::SeriesCache;
 pub use storage::{StaleEpoch, Tsdb, TsdbConfig, TsdbInstruments};
 pub use types::{Sample, SeriesData};
 pub use wal::{DiskFaults, FsyncMode, ScriptedDiskFaults, WalOptions, WalPosition};

@@ -6,14 +6,20 @@
 //! recording rules). Targets can be HTTP endpoints (the real path) or
 //! in-process closures (used for the 1,400-node simulation, where spinning
 //! up 1,400 OS sockets would measure the kernel, not CEEMS).
+//!
+//! Each target owns a [`SeriesCache`]: a pass re-resolves only the series
+//! text it did not see one pass ago, and lands the body plus the target's
+//! `up` sample as one group commit.
 
 use std::sync::Arc;
 
 use ceems_http::auth::BasicAuth;
 use ceems_http::Client;
-use ceems_metrics::labels::{LabelSetBuilder, METRIC_NAME_LABEL};
+use ceems_metrics::labels::LabelSet;
 use ceems_metrics::parse::parse_text;
+use parking_lot::Mutex;
 
+use crate::series_cache::{stamp_series, SeriesCache};
 use crate::storage::Tsdb;
 
 /// Where a target's exposition text comes from.
@@ -58,13 +64,20 @@ pub struct ScrapeStats {
 /// Scrapes a set of targets into a TSDB.
 pub struct ScrapeManager {
     targets: Vec<ScrapeTarget>,
+    /// One series cache per target, by position.
+    caches: Vec<Mutex<SeriesCache>>,
     client: Client,
+}
+
+fn target_cache(t: &ScrapeTarget) -> Mutex<SeriesCache> {
+    Mutex::new(SeriesCache::for_target(&t.instance, &t.job, &t.extra_labels))
 }
 
 impl ScrapeManager {
     /// Creates a manager.
     pub fn new(targets: Vec<ScrapeTarget>) -> ScrapeManager {
         ScrapeManager {
+            caches: targets.iter().map(target_cache).collect(),
             targets,
             client: Client::new(),
         }
@@ -77,6 +90,7 @@ impl ScrapeManager {
 
     /// Adds a target.
     pub fn add_target(&mut self, t: ScrapeTarget) {
+        self.caches.push(target_cache(&t));
         self.targets.push(t);
     }
 
@@ -91,19 +105,22 @@ impl ScrapeManager {
         let threads = threads.max(1);
         let chunk = self.targets.len().div_ceil(threads).max(1);
         std::thread::scope(|s| {
-            for targets in self.targets.chunks(chunk) {
+            for (targets, caches) in self.targets.chunks(chunk).zip(self.caches.chunks(chunk)) {
                 let (ok, failed, samples) = (&ok, &failed, &samples);
                 let client = &self.client;
                 s.spawn(move || {
-                    for t in targets {
-                        match scrape_target(client, t, db, now_ms) {
+                    for (t, cache) in targets.iter().zip(caches) {
+                        let mut cache = cache.lock();
+                        match scrape_target(client, t, &mut cache, db, now_ms) {
                             Ok(n) => {
                                 ok.fetch_add(1, Ordering::Relaxed);
                                 samples.fetch_add(n, Ordering::Relaxed);
                             }
                             Err(_) => {
                                 failed.fetch_add(1, Ordering::Relaxed);
-                                ingest_up(db, t, now_ms, 0.0);
+                                // `up = 0` alone. An empty body always
+                                // parses, and unfenced ingest cannot fail.
+                                let _ = cache.ingest_with(db, "", now_ms, &[("up", 0.0)]);
                             }
                         }
                     }
@@ -118,46 +135,35 @@ impl ScrapeManager {
     }
 }
 
-fn ingest_up(db: &Tsdb, target: &ScrapeTarget, now_ms: i64, v: f64) {
-    let mut b = LabelSetBuilder::new()
-        .label(METRIC_NAME_LABEL, "up")
-        .label("instance", &target.instance)
-        .label("job", &target.job);
-    for (k, val) in &target.extra_labels {
-        b = b.label(k, val);
-    }
-    db.append(&b.build(), now_ms, v);
-}
-
-/// Parses exposition text into an ingestable batch with target labels
-/// stamped — the exact transformation a scrape pass applies. Public so the
-/// S23 push path (exporters publishing over the stream bus) produces
-/// series byte-identical to poll-mode scraping of the same payload.
+/// Parses exposition text into a batch with target labels stamped: what
+/// one target pass ingests, spelled out without a cache. The
+/// [`SeriesCache`] ingest path parses and stamps each missed line exactly
+/// like this, so `exposition_to_batch` + [`Tsdb::append_batch`] is the
+/// reference the cached path is tested against.
 pub fn exposition_to_batch(
     body: &str,
     instance: &str,
     job: &str,
     extra_labels: &[(String, String)],
     now_ms: i64,
-) -> Result<Vec<(ceems_metrics::labels::LabelSet, i64, f64)>, String> {
+) -> Result<Vec<(LabelSet, i64, f64)>, String> {
     let parsed = parse_text(body).map_err(|e| e.to_string())?;
-    let mut batch = Vec::with_capacity(parsed.samples.len());
-    for s in parsed.samples {
-        let mut b = LabelSetBuilder::from(s.labels)
-            .label(METRIC_NAME_LABEL, &s.name)
-            .label("instance", instance)
-            .label("job", job);
-        for (k, v) in extra_labels {
-            b = b.label(k, v);
-        }
-        batch.push((b.build(), s.timestamp_ms.unwrap_or(now_ms), s.value));
-    }
-    Ok(batch)
+    let stamp = [("instance", instance), ("job", job)];
+    Ok(parsed
+        .samples
+        .into_iter()
+        .map(|s| {
+            let extra = extra_labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+            let labels = stamp_series(&s.name, s.labels, stamp.into_iter().chain(extra));
+            (labels, s.timestamp_ms.unwrap_or(now_ms), s.value)
+        })
+        .collect())
 }
 
 fn scrape_target(
     client: &Client,
     target: &ScrapeTarget,
+    cache: &mut SeriesCache,
     db: &Tsdb,
     now_ms: i64,
 ) -> Result<u64, String> {
@@ -175,19 +181,9 @@ fn scrape_target(
             resp.body_string()
         }
     };
-    // One target pass becomes one batch: with a WAL attached this is one
-    // group commit (one writer lock + one flush) instead of one per sample.
-    let batch = exposition_to_batch(
-        &body,
-        &target.instance,
-        &target.job,
-        &target.extra_labels,
-        now_ms,
-    )?;
-    let n = batch.len() as u64;
-    db.append_batch(&batch);
-    ingest_up(db, target, now_ms, 1.0);
-    Ok(n)
+    // One target pass, `up` included, becomes one batch: with a WAL
+    // attached this is one group commit (one writer lock + one flush).
+    cache.ingest_with(db, &body, now_ms, &[("up", 1.0)])
 }
 
 #[cfg(test)]
@@ -307,6 +303,48 @@ mod tests {
         }]);
         assert_eq!(mgr.scrape_once(&db, 0, 1).ok, 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn one_samples_record_per_target_per_pass() {
+        use crate::wal::{decode_frames, FsyncMode, WalOptions, WalRecord};
+        let dir = std::env::temp_dir().join(format!("ceems-scrape-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = WalOptions {
+            segment_bytes: 1 << 20,
+            fsync: FsyncMode::Never,
+        };
+        let db = Tsdb::open(&dir, opts, crate::TsdbConfig::default()).unwrap();
+        let mgr = ScrapeManager::new(vec![
+            in_process_target("n1", "power_watts 250\nmem_bytes 1024\n"),
+            in_process_target("n2", "power_watts 300\n"),
+            in_process_target("bad", "{{{ not metrics"),
+        ]);
+        for pass in 1..=3 {
+            let stats = mgr.scrape_once(&db, pass * 15_000, 2);
+            assert_eq!((stats.ok, stats.failed, stats.samples), (2, 1, 3));
+        }
+        let mut records = Vec::new();
+        for (seq, _) in db.wal_segments().unwrap() {
+            let bytes = db.read_wal_segment(seq, 0).unwrap().unwrap();
+            records.extend(decode_frames(&bytes).0);
+        }
+        let samples: Vec<usize> = records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::Samples(s) => Some(s.len()),
+                _ => None,
+            })
+            .collect();
+        // Per pass: n1's body + up, n2's body + up, the failed target's
+        // `up = 0` alone — in target-thread order.
+        assert_eq!(samples.len(), 3 * 3, "one Samples record per target per pass");
+        assert_eq!(samples.iter().sum::<usize>(), 3 * (3 + 2 + 1));
+        let up = db.select(&[LabelMatcher::eq("__name__", "up")], 0, i64::MAX);
+        assert_eq!(up.len(), 3);
+        assert!(up.iter().all(|s| s.samples.len() == 3));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

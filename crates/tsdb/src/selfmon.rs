@@ -26,6 +26,7 @@ impl Collector for TsdbCollector {
     fn collect(&self) -> Vec<MetricFamily> {
         let db = &self.db;
         let cache = db.posting_cache_stats();
+        let (series_hits, series_misses) = db.series_cache_stats();
         let ins = db.instruments();
         let (wal_syncs, wal_sync_secs) = db.wal_sync_stats();
         let wal_records = db.wal_position().map_or(0, |p| p.records);
@@ -59,6 +60,16 @@ impl Collector for TsdbCollector {
                 "ceems_tsdb_posting_cache_misses_total",
                 "Posting-cache lookups that fell through to the index.",
                 cache.misses as f64,
+            ),
+            counter_value_family(
+                "ceems_tsdb_series_cache_hits_total",
+                "Ingested sample lines whose series id came from their source's series cache.",
+                series_hits as f64,
+            ),
+            counter_value_family(
+                "ceems_tsdb_series_cache_misses_total",
+                "Ingested sample lines parsed and resolved through the index.",
+                series_misses as f64,
             ),
             gauge_value_family(
                 "ceems_tsdb_posting_cache_entries",

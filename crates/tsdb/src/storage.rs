@@ -29,6 +29,9 @@ use crate::index::LabelIndex;
 use crate::types::{Sample, SeriesData, SeriesId};
 use crate::wal::{self, Checkpoint, EpochSpan, Wal, WalOptions, WalPosition, WalRecord};
 
+/// Source of [`Tsdb`] instance tokens (see [`IndexStamp`]).
+static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
+
 /// Below this many resolved series the thread fan-out costs more than it
 /// saves; materialization stays on the calling thread.
 const PARALLEL_SELECT_MIN: usize = 32;
@@ -184,8 +187,22 @@ impl std::fmt::Display for StaleEpoch {
     }
 }
 
+/// What a series cache's resolved ids are valid against: the database
+/// they were resolved in (its instance token) and how many series that
+/// database had removed at the time. Ids stay valid exactly while the
+/// stamp is unchanged: a different token is another database (a failover
+/// re-pointed the writer), more removals may mean a dead id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct IndexStamp {
+    token: u64,
+    removals: u64,
+}
+
 /// The time series database.
 pub struct Tsdb {
+    /// Unique per instance: a series cache never applies ids resolved in
+    /// another database.
+    token: u64,
     index: RwLock<LabelIndex>,
     head: Head,
     config: TsdbConfig,
@@ -206,6 +223,10 @@ pub struct Tsdb {
     leader: std::sync::atomic::AtomicBool,
     /// Appends rejected for carrying a stale epoch.
     fenced_writes: AtomicU64,
+    /// Series-cache lines served from a cached id / resolved through the
+    /// index (see [`crate::series_cache`]).
+    series_cache_hits: AtomicU64,
+    series_cache_misses: AtomicU64,
     instruments: TsdbInstruments,
 }
 
@@ -219,6 +240,7 @@ impl Tsdb {
     /// Creates an empty in-memory TSDB (no WAL).
     pub fn new(config: TsdbConfig) -> Tsdb {
         Tsdb {
+            token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
             index: RwLock::new(LabelIndex::new()),
             head: Head::new(config.shards),
             posting_cache: ShardedPostingCache::new(config.posting_cache_size),
@@ -231,6 +253,8 @@ impl Tsdb {
             epoch_state: Mutex::new(EpochState::default()),
             leader: std::sync::atomic::AtomicBool::new(true),
             fenced_writes: AtomicU64::new(0),
+            series_cache_hits: AtomicU64::new(0),
+            series_cache_misses: AtomicU64::new(0),
             instruments: TsdbInstruments::default(),
         }
     }
@@ -335,7 +359,7 @@ impl Tsdb {
     /// creation of) the series on first sight. The create record is logged
     /// *inside* the index write-lock critical section so no concurrent
     /// appender can log samples for an id before its create record.
-    fn resolve_or_create_id(&self, labels: &LabelSet) -> SeriesId {
+    pub(crate) fn resolve_or_create_id(&self, labels: &LabelSet) -> SeriesId {
         // Hash the label set once; both the read-path lookup and the
         // slow-path create reuse the fingerprint.
         let fp = labels.fingerprint();
@@ -382,17 +406,28 @@ impl Tsdb {
     /// Appends a batch of samples as one group commit: every series id is
     /// resolved, then the whole batch becomes a single WAL record — one
     /// writer lock, one `write`, at most one fsync — before being applied
-    /// to the head. The scrape path logs one batch per target pass.
+    /// to the head.
     pub fn append_batch(&self, batch: &[(LabelSet, i64, f64)]) {
-        if batch.is_empty() {
-            return;
-        }
+        self.append_resolved(|db| {
+            batch
+                .iter()
+                .map(|(labels, t_ms, v)| (db.resolve_or_create_id(labels), *t_ms, *v))
+                .collect()
+        });
+    }
+
+    /// One group commit of samples whose series ids `resolve` produces.
+    /// `resolve` runs under the WAL gate, so no delete, retention pass or
+    /// checkpoint can run between its id checks and the append: a series
+    /// cache validates its cached ids there ([`Self::index_stamp`]) and
+    /// resolves its misses through [`Self::resolve_or_create_id`].
+    pub(crate) fn append_resolved(&self, resolve: impl FnOnce(&Tsdb) -> Vec<(SeriesId, i64, f64)>) {
         let start = Instant::now();
         let _gate = self.wal_gate_read();
-        let samples: Vec<(SeriesId, i64, f64)> = batch
-            .iter()
-            .map(|(labels, t_ms, v)| (self.resolve_or_create_id(labels), *t_ms, *v))
-            .collect();
+        let samples = resolve(self);
+        if samples.is_empty() {
+            return;
+        }
         let rec = WalRecord::Samples(samples);
         self.log_wal(std::slice::from_ref(&rec));
         let WalRecord::Samples(samples) = rec else {
@@ -404,6 +439,46 @@ impl Tsdb {
             .observe(start.elapsed().as_secs_f64());
     }
 
+    /// [`Self::append_resolved`] behind the epoch fence of
+    /// [`Self::append_batch_fenced`]: a stale epoch is rejected before
+    /// `resolve` runs, so it creates nothing.
+    pub(crate) fn append_resolved_fenced(
+        &self,
+        epoch: u64,
+        resolve: impl FnOnce(&Tsdb) -> Vec<(SeriesId, i64, f64)>,
+    ) -> Result<(), StaleEpoch> {
+        self.check_epoch(epoch)?;
+        self.append_resolved(resolve);
+        Ok(())
+    }
+
+    /// The instance token and removal count, read under the index read
+    /// lock. Called inside [`Self::append_resolved`] it is stable until the
+    /// append lands when a WAL is attached (removals need the exclusive
+    /// gate); without one a concurrent delete can still race an append, as
+    /// it can for [`Self::append_batch`].
+    pub(crate) fn index_stamp(&self) -> IndexStamp {
+        IndexStamp {
+            token: self.token,
+            removals: self.index.read().removals(),
+        }
+    }
+
+    /// Counts series-cache lookups that hit / missed.
+    pub(crate) fn count_series_cache(&self, hits: u64, misses: u64) {
+        self.series_cache_hits.fetch_add(hits, Ordering::Relaxed);
+        self.series_cache_misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
+    /// Series-cache `(hits, misses)`: sample lines ingested from a cached
+    /// series id vs. resolved through the index.
+    pub fn series_cache_stats(&self) -> (u64, u64) {
+        (
+            self.series_cache_hits.load(Ordering::Relaxed),
+            self.series_cache_misses.load(Ordering::Relaxed),
+        )
+    }
+
     /// Appends a batch stamped with the writer's believed leadership epoch
     /// (S24). Rejected — and counted — when the stamp does not match the
     /// database's current epoch, so a deposed leader (or traffic still
@@ -413,6 +488,13 @@ impl Tsdb {
         epoch: u64,
         batch: &[(LabelSet, i64, f64)],
     ) -> Result<(), StaleEpoch> {
+        self.check_epoch(epoch)?;
+        self.append_batch(batch);
+        Ok(())
+    }
+
+    /// The epoch fence: `epoch` must be current and this node the leader.
+    fn check_epoch(&self, epoch: u64) -> Result<(), StaleEpoch> {
         let current = self.current_epoch();
         if epoch != current || !self.is_leader() {
             self.fenced_writes.fetch_add(1, Ordering::Relaxed);
@@ -421,7 +503,6 @@ impl Tsdb {
                 current_epoch: current,
             });
         }
-        self.append_batch(batch);
         Ok(())
     }
 
